@@ -228,7 +228,7 @@ def test_raw_speed_levers(decode_workload, batched_bench):
     hybrid = EcgMonitorSystem(config, precision="hybrid")
     hybrid.decoder.codebook = system.encoder.codebook
     decoder = hybrid.decoder
-    solver = decoder.batched_solver()
+    solver = decoder.backend.solver
     structure = solver.structure
     block = decoder.payload.measurement_block(packets, np.float64)
     assert block.shape[1] == TOTAL_WINDOWS

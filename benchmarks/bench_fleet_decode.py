@@ -22,9 +22,9 @@ Two tentpole claims over the PR-1 batched engine
 
 A third claim rides along since the raw-speed solver pass: the
 **hybrid precision backend** (``precision="hybrid"``) decodes the same
-pooled fleet faster than float64 at equivalent PRD, and the per-worker
-solver cache (``_WORKER_RESOURCES``) hands repeated
-``solve_measurement_block`` tasks the *same* solver instance with its
+pooled fleet faster than float64 at equivalent PRD, and the per-process
+backend cache (``backend_for``) hands repeated
+``solve_measurement_block`` tasks the *same* backend with its solver
 workspace arenas at a fixed point — steady-state fleet serving
 allocates no new scratch per task.  These land as the ``hybrid``
 section of ``BENCH_fleet_decode.json``.
@@ -49,7 +49,8 @@ from repro.core.batch import stream_batched
 from repro.ecg import RECORD_NAMES, SyntheticMitBih
 from repro.experiments import render_table
 from repro.fleet import FleetDecoder, StreamTask, operator_key
-from repro.fleet.engine import _group_resources, solve_measurement_block
+from repro.core.backend import backend_for
+from repro.fleet.engine import solve_measurement_block
 
 SMOKE = os.environ.get("REPRO_BENCH_SMOKE", "") not in ("", "0")
 
@@ -332,7 +333,7 @@ def test_fleet_hybrid_backend(pooled_workload, fleet_bench):
     assert prd_gap < HYBRID_PRD_GAP_BOUND
 
     # steady-state worker cache: the same config+precision key must
-    # hand back the same solver, and a further solve_measurement_block
+    # hand back the same backend, and a further solve_measurement_block
     # task must not grow its workspace arenas
     config = systems[0].config
     block_source = EcgMonitorSystem(config, precision="hybrid")
@@ -356,13 +357,17 @@ def test_fleet_hybrid_backend(pooled_workload, fleet_bench):
         "tolerance": config.tolerance,
     }
     first = solve_measurement_block(task)
-    solver, _transform = _group_resources(config, "hybrid")
-    arenas = {key: id(buf) for key, buf in solver.workspace._arenas.items()}
+    backend = backend_for(config, "hybrid")
+    workspace = backend.solver.workspace
+    arenas = {key: id(buf) for key, buf in workspace._arenas.items()}
     second = solve_measurement_block(task)
-    cached_solver, _transform = _group_resources(config, "hybrid")
-    worker_cache_reuse = cached_solver is solver and arenas == {
-        key: id(buf) for key, buf in solver.workspace._arenas.items()
-    }
+    cached_backend = backend_for(config, "hybrid")
+    worker_cache_reuse = (
+        cached_backend is backend
+        and cached_backend.solver.workspace is workspace
+        and arenas
+        == {key: id(buf) for key, buf in workspace._arenas.items()}
+    )
     assert worker_cache_reuse
     np.testing.assert_array_equal(first["signals"], second["signals"])
     polish = {

@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # Tier-1 verification + repro-lint + decode-engine benchmark smokes.
 #
-#   scripts/run_tier1.sh          # lint + tests + smoke benchmarks + examples
+#   scripts/run_tier1.sh          # lint + tests + smoke benchmarks + perfbench + examples
 #   scripts/run_tier1.sh --fast   # lint + tests only
 #
 # The tier-1 command is the repo's ROADMAP-pinned gate; the smoke runs
@@ -167,6 +167,32 @@ if failover["max_damage_windows"] > failover["keyframe_interval"]:
         f"({failover['max_damage_windows']} > {failover['keyframe_interval']})"
     )
 print("federation fields OK")
+EOF
+
+    echo "== perfbench smoke (traced burst_hybrid) =="
+    # the traced run finds its layers by name (the gateway's
+    # solve_measurement_block, BatchedFista.solve/solve_structured,
+    # WaveletTransform.inverse_batch): a refactor that silently unhooks
+    # one fails here, not at the next benchmark run
+    python3 perfbench/run.py --workload burst_hybrid --seed 1 --seconds 4 --trace 1 \
+        | tee benchmarks/results/PERFBENCH_smoke.txt
+    python - <<'EOF'
+import json, sys
+with open("benchmarks/results/PERFBENCH_smoke.txt") as fh:
+    payload = json.loads(fh.read().splitlines()[-1])
+metrics = {key: entry["value"] for key, entry in payload["metrics"].items()}
+if payload["correct"] is not True:
+    sys.exit("ERROR: perfbench smoke decoded windows incorrectly")
+if payload["failed"] != 0:
+    sys.exit(f"ERROR: perfbench smoke failed {payload['failed']} window(s)")
+if not metrics["engine.self_ms_per_batch"] > 0:
+    sys.exit("ERROR: traced solve_measurement_block hook never fired")
+if not metrics["trace.unaccounted_share"] < 0.05:
+    sys.exit(
+        "ERROR: traced layers leave "
+        f"{metrics['trace.unaccounted_share']:.3f} of the window unaccounted"
+    )
+print("perfbench smoke OK")
 EOF
 
     echo "== example smokes =="

@@ -29,6 +29,7 @@ from collections.abc import Sequence
 
 from .config import SystemConfig
 from .core import EcgMonitorSystem
+from .core.backend import PRECISIONS
 from .ecg import RECORD_NAMES, SyntheticMitBih
 from .experiments import (
     render_table,
@@ -141,7 +142,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     fleet.add_argument(
         "--precision",
-        choices=("float64", "float32", "hybrid"),
+        choices=PRECISIONS,
         default="float64",
         help=(
             "decode backend: float64 (reference), float32, or hybrid — "
@@ -217,7 +218,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     serve.add_argument(
         "--precision",
-        choices=("float64", "float32", "hybrid"),
+        choices=PRECISIONS,
         default="float64",
         help=(
             "decode backend simulated nodes request in their handshake "

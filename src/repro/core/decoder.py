@@ -9,12 +9,13 @@ Three stages mirroring the encoder:
    domain and synthesizing the time-domain ECG.
 
 The decoder supports float64 (the paper's Matlab reference) and float32
-(the iPhone build); Figure 6 overlays the two.  The dense system
-operator and its Lipschitz constant are computed once on first use and
-cached for the decoder's lifetime (the sensing matrix is fixed),
-exactly as an embedded decoder would precompute them offline — lazily,
-so a fleet of per-stream decoders sharing one operator group does not
-pay the precompute per stream.
+(the iPhone build); Figure 6 overlays the two.  The system operator,
+its Lipschitz constant and the batched solver live in the decoder's
+:class:`~repro.core.backend.DecodeBackend`, built once on first use and
+kept for the decoder's lifetime (the sensing matrix is fixed), exactly
+as an embedded decoder would precompute them offline — lazily, so a
+fleet of per-stream decoders sharing one operator group does not pay
+the precompute per stream.
 """
 
 from __future__ import annotations
@@ -28,16 +29,9 @@ import numpy as np
 from ..coding import BitReader, Codebook, DifferentialCodec, train_codebook
 from ..config import SystemConfig
 from ..errors import ConfigurationError, DecodingError
-from ..sensing import SparseBinaryMatrix
-from ..solvers import (
-    BatchedFista,
-    SolverResult,
-    StructuredOperator,
-    fista,
-    lambda_from_fraction,
-)
-from ..solvers.lipschitz import lipschitz_constant
+from ..solvers import SolverResult, fista, lambda_from_fraction
 from ..wavelet import WaveletTransform
+from .backend import PRECISIONS, BlockResult, DecodeBackend, measurement_dtype
 from .packets import EncodedPacket, PacketKind, unpack_keyframe_values
 from .quantizer import MeasurementQuantizer
 
@@ -49,9 +43,10 @@ class PacketPayloadDecoder:
     difference reconstruction and dequantization — is per-stream state
     (codebook, reference vector) that never touches the dense system
     operator.  Splitting it out lets a fleet worker keep one of these
-    per stream while sharing a single operator/Lipschitz precomputation
-    per sensing-operator group (see :mod:`repro.fleet`), and lets the
-    worker be constructed without materializing ``A = Phi Psi`` at all.
+    per stream while sharing a single
+    :class:`~repro.core.backend.DecodeBackend` per sensing-operator
+    group (see :mod:`repro.fleet`), and lets the worker be constructed
+    without materializing ``A = Phi Psi`` at all.
     """
 
     def __init__(
@@ -185,12 +180,9 @@ class CSDecoder:
         Must be the same codebook the encoder used.
     precision:
         ``"float64"`` (Matlab reference), ``"float32"`` (iPhone), or
-        ``"hybrid"`` — the raw-speed backend: float32 FISTA iterations
-        against the fused dense operator, dense ``Psi`` GEMM synthesis,
-        a sparse scatter/gather residual gate ``||y - Phi s||`` per
-        column, and a float64 polish re-solve for any column whose
-        relative residual leaves the fig-6 corridor (see
-        :func:`~repro.solvers.batched.structured_batched_fista`).
+        ``"hybrid"`` — float32 FISTA with a sparse residual gate and a
+        float64 polish of any column that leaves the fig-6 corridor
+        (:func:`~repro.solvers.batched.structured_batched_fista`).
     warm_start:
         Reuse the previous packet's wavelet coefficients as the FISTA
         starting point (off by default: the paper decodes each packet
@@ -205,10 +197,9 @@ class CSDecoder:
         precision: str = "float64",
         warm_start: bool = False,
     ) -> None:
-        if precision not in ("float64", "float32", "hybrid"):
+        if precision not in PRECISIONS:
             raise ConfigurationError(
-                f"precision must be 'float64', 'float32' or 'hybrid', "
-                f"got {precision!r}"
+                f"precision must be one of {PRECISIONS}, got {precision!r}"
             )
         if precision == "hybrid" and warm_start:
             raise ConfigurationError(
@@ -218,23 +209,11 @@ class CSDecoder:
         self.precision = precision
         self.warm_start = warm_start
         self.payload = PacketPayloadDecoder(config, codebook=codebook)
-
-        self._matrix = SparseBinaryMatrix(
-            config.m, config.n, d=config.d, seed=config.seed
-        )
-        self.transform = WaveletTransform(config.n, config.wavelet, config.levels)
-        # Dense materialization of A = Phi Psi (at N = 512 the fastest
-        # representation for the numerical sweeps; the embedded cost
-        # models account for the matrix-free structure instead) is
-        # *lazy*: it and its Lipschitz estimate are built on first use.
-        # A fleet run constructs one decoder per stream but iterates
-        # only one operator per group — eager per-decoder builds would
-        # pay the group's precompute once per stream.
-        self._system_cache: np.ndarray | None = None
-        self._lipschitz_cache: float | None = None
+        # lazy: a fleet run builds one decoder per stream but iterates
+        # only its group lead's operator
+        self._backend: DecodeBackend | None = None
         self.dc_offset = 1 << (config.adc_bits - 1)
         self._previous_alpha: np.ndarray | None = None
-        self._batched_solver: BatchedFista | None = None
 
     # ------------------------------------------------------------------
     def reset(self) -> None:
@@ -272,53 +251,28 @@ class CSDecoder:
         self.payload.quantizer = value
 
     @property
+    def backend(self) -> DecodeBackend:
+        """This decoder's batched reconstruction stage, built on first
+        use and owned by the decoder (the fleet solves a group through
+        its lead decoder's backend)."""
+        if self._backend is None:
+            self._backend = DecodeBackend(self.config, self.precision)
+        return self._backend
+
+    @property
+    def transform(self) -> WaveletTransform:
+        """The wavelet synthesis the decoder reconstructs with."""
+        return self.backend.transform
+
+    @property
     def system_matrix(self) -> np.ndarray:
         """The dense system operator ``A = Phi Psi`` (decoder precision)."""
-        if self._system_cache is None:
-            dtype = np.float32 if self.precision == "float32" else np.float64
-            self._system_cache = (
-                self._matrix.sparse() @ self.transform.synthesis_matrix()
-            ).astype(dtype)
-        return self._system_cache
+        return self.backend.solver.operator
 
     @property
     def lipschitz(self) -> float:
         """Precomputed Lipschitz constant of the data-fidelity gradient."""
-        if self._lipschitz_cache is None:
-            self._lipschitz_cache = lipschitz_constant(
-                self.system_matrix.astype(np.float64)
-            )
-        return self._lipschitz_cache
-
-    def batched_solver(self) -> BatchedFista:
-        """The (lazily built) batched solver for this decoder's backend.
-
-        For ``"hybrid"`` precision the solver is bound to a
-        :class:`~repro.solvers.sparse_apply.StructuredOperator` (sparse
-        ``Phi`` gather kernels + both-precision dense pair) so
-        :meth:`~repro.solvers.batched.BatchedFista.solve_structured`
-        is available; otherwise a plain dense-operator solver.  Shared
-        by :meth:`decode_batch` and the fleet's in-process group path,
-        so the operator/Lipschitz precompute is paid once per decoder.
-        """
-        if self._batched_solver is None:
-            if self.precision == "hybrid":
-                structure = StructuredOperator(
-                    self._matrix,
-                    self.transform.synthesis_matrix(),
-                    dense=self.system_matrix,
-                    lipschitz=self.lipschitz,
-                )
-                self._batched_solver = BatchedFista(
-                    structure.dense64,
-                    lipschitz=structure.lipschitz,
-                    structure=structure,
-                )
-            else:
-                self._batched_solver = BatchedFista(
-                    self.system_matrix, lipschitz=self.lipschitz
-                )
-        return self._batched_solver
+        return self.backend.solver.lipschitz
 
     # ------------------------------------------------------------------
     def _decode_payload(self, packet: EncodedPacket) -> np.ndarray:
@@ -333,12 +287,7 @@ class CSDecoder:
         if self.precision == "hybrid":
             # the structured backend is inherently batched; a serial
             # decode is a width-1 block through the same pipeline
-            result = self.batched_solver().solve_structured(
-                np.asarray(y, dtype=np.float64)[:, None],
-                self.config.lam,
-                max_iterations=self.config.max_iterations,
-                tolerance=self.config.tolerance,
-            )
+            result = self._solve(np.asarray(y, dtype=np.float64)[:, None])
             samples = result.signals[:, 0] + self.dc_offset
             return DecodedPacket(
                 sequence=packet.sequence,
@@ -347,8 +296,7 @@ class CSDecoder:
                 solver=result.per_column(0),
                 decode_seconds=time.perf_counter() - started,
             )
-        dtype = np.float32 if self.precision == "float32" else np.float64
-        y = y.astype(dtype)
+        y = y.astype(measurement_dtype(self.precision))
 
         lam = lambda_from_fraction(self.system_matrix, y, self.config.lam)
         x0 = self._previous_alpha if self.warm_start else None
@@ -382,10 +330,10 @@ class CSDecoder:
 
         Entropy decoding and redundancy re-insertion stay sequential
         (they are stateful and cheap); the measurement vectors are then
-        stacked into an ``(m, B)`` matrix and reconstructed by
-        :class:`~repro.solvers.batched.BatchedFista` with per-column
-        regularization weights and convergence masking, followed by one
-        batched inverse wavelet synthesis.  Per-packet results match
+        stacked into an ``(m, B)`` matrix and reconstructed by the
+        decoder's :class:`~repro.core.backend.DecodeBackend` (batched
+        FISTA with per-column regularization weights and convergence
+        masking, then one batched synthesis).  Per-packet results match
         :meth:`decode` to solver floating-point noise (identical
         iteration counts, reconstructions equal to ~1e-9).
 
@@ -399,51 +347,20 @@ class CSDecoder:
         if not packets:
             return []
         started = time.perf_counter()
-        dtype = np.float32 if self.precision == "float32" else np.float64
-        measurements = self.payload.measurement_block(packets, dtype)
-        solver = self.batched_solver()
-
-        if self.precision == "hybrid":
-            result = solver.solve_structured(
-                measurements,
-                self.config.lam,
-                max_iterations=self.config.max_iterations,
-                tolerance=self.config.tolerance,
-            )
-            samples = result.signals + self.dc_offset
-            elapsed = time.perf_counter() - started
-            per_packet_seconds = elapsed / len(packets)
-            return [
-                DecodedPacket(
-                    sequence=packet.sequence,
-                    samples_adu=samples[:, column].copy(),
-                    measurements=np.asarray(
-                        measurements[:, column], dtype=np.float64
-                    ),
-                    solver=result.per_column(column),
-                    decode_seconds=per_packet_seconds,
-                )
-                for column, packet in enumerate(packets)
-            ]
-
-        lams = solver.lambdas(measurements, self.config.lam)
+        measurements = self.payload.measurement_block(
+            packets, measurement_dtype(self.precision)
+        )
         x0 = None
         if self.warm_start and self._previous_alpha is not None:
             x0 = np.repeat(
                 self._previous_alpha[:, None], len(packets), axis=1
             )
-        batch_result = solver.solve(
-            measurements,
-            lams,
-            max_iterations=self.config.max_iterations,
-            tolerance=self.config.tolerance,
-            x0=x0,
-        )
+        result = self._solve(measurements, x0)
         if self.warm_start:
-            self._previous_alpha = batch_result.coefficients[:, -1].copy()
+            last = result.per_column(len(packets) - 1)
+            self._previous_alpha = last.coefficients
 
-        signals = self.transform.inverse_batch(batch_result.coefficients)
-        samples = np.asarray(signals, dtype=np.float64) + self.dc_offset
+        samples = result.signals + self.dc_offset
         elapsed = time.perf_counter() - started
         per_packet_seconds = elapsed / len(packets)
         return [
@@ -453,11 +370,23 @@ class CSDecoder:
                 measurements=np.asarray(
                     measurements[:, column], dtype=np.float64
                 ),
-                solver=batch_result.per_column(column),
+                solver=result.per_column(column),
                 decode_seconds=per_packet_seconds,
             )
             for column, packet in enumerate(packets)
         ]
+
+    def _solve(
+        self, measurements: np.ndarray, x0: np.ndarray | None = None
+    ) -> BlockResult:
+        """One block through the backend under this decoder's config."""
+        return self.backend.solve(
+            measurements,
+            self.config.lam,
+            x0,
+            max_iterations=self.config.max_iterations,
+            tolerance=self.config.tolerance,
+        )
 
     def decode_bytes(self, wire: bytes) -> DecodedPacket:
         """Parse a wire packet (with CRC check) and decode it."""

@@ -19,9 +19,12 @@ with the *same* sensing matrix and wavelet basis can share a batch.
 sensing seeds put each lead of a
 :class:`~repro.core.multichannel.MultiChannelMonitor` in its own group,
 while a fleet of nodes shipping the paper's shared fixed matrix
-collapses into one.  Per group, the engine keeps exactly one operator,
-one Lipschitz estimate, one contiguous transpose and one iteration
-workspace; batches are filled to the target width *across* the group's
+collapses into one.  Per group, the engine solves through exactly one
+:class:`~repro.core.backend.DecodeBackend` — one operator, one
+Lipschitz estimate, one contiguous transpose and one iteration
+workspace; in-process that is the group lead decoder's own backend, in
+a pool worker the process's :func:`~repro.core.backend.backend_for`
+instance.  Batches are filled to the target width *across* the group's
 streams, so ragged per-stream tails merge into full-width solves.
 Per-stream state that cannot be shared — Huffman codebook, closed-loop
 difference reference, lambda fraction, dc offset — stays with each
@@ -41,10 +44,11 @@ shards *within* the group instead: stages 1-2 run in the parent and
 the pooled column stream is split into batch-aligned contiguous
 slices, one per worker (:func:`~repro.fleet.engine.split_batches` /
 :func:`~repro.fleet.engine.solve_measurement_block`).  In both
-layouts workers rebuild the dense operator from the seed once per
-operator group and cache it for the life of the process, so no matrix
-is ever pickled in either direction; only decoded sample/iteration
-arrays come back.  The single-process fallback applies when
+layouts workers rebuild the backend from the seed once per operator
+and cache it for the life of the process, so no matrix is ever
+pickled in either direction; only decoded sample/iteration arrays come
+back.  Both layouts and the in-process path run the same batch loop
+over the same backend, which is what keeps them bit-identical.  The single-process fallback applies when
 ``workers in (None, 0, 1)``, when the only group's windows fit a
 single batch (nothing to shard), or when the platform cannot start a
 pool — the latter two emit one ``RuntimeWarning`` naming the reason.

@@ -12,32 +12,22 @@ pipeline:
   pooled into cross-stream batches;
 - **decode phase**: per group, stages 1-2 run per stream (stateful,
   cheap), then the pooled measurement columns go through one
-  :class:`~repro.solvers.batched.BatchedFista` per group — in-process,
-  or sharded across a ``multiprocessing`` pool when ``workers > 1``;
+  :class:`~repro.core.backend.DecodeBackend` per group — the lead
+  decoder's in-process, or each worker's cached one
+  (:func:`~repro.core.backend.backend_for`) when sharded across a
+  ``multiprocessing`` pool (``workers > 1``);
 - **route phase** (parent): decoded windows scatter back to their
   originating :class:`~repro.core.system.StreamResult` in order.
 
-Sharding picks one of two layouts:
-
-- **group sharding** (``>= 2`` operator groups): whole groups are
-  partitioned across the pool.  Workers never receive a matrix: a group
-  task carries each stream's scalar :class:`~repro.config.SystemConfig`
-  fields, its (small) Huffman codebook and its packets as wire bytes;
-  the worker rebuilds ``A = Phi Psi^-1`` from the seed once per
-  operator group and caches it for the life of the process.
-- **column sharding** (one operator group — the paper's fleet, where
-  every node ships the same fixed matrix): the parent runs stages 1-2
-  and splits the group's pooled *column* stream into batch-aligned
-  slices, one per worker, so the single shared operator no longer
-  serializes on one process's BLAS.  Workers receive only the float
-  measurement columns (kilobytes per batch) and, as above, rebuild the
-  operator from the seed.
-
-Both layouts reproduce the in-process batch boundaries exactly, so the
-decoded output is bit-identical to the single-process pooled path.  If
-sharding was requested but cannot apply (nothing to split, or the
-platform cannot start a pool), the engine decodes in-process and emits
-one :class:`RuntimeWarning` naming the reason.
+Sharding shards whole operator groups (``>= 2`` groups, workers get
+wire bytes) or, for the paper's one-matrix fleet, batch-aligned column
+slices (workers get measurement columns); see :mod:`repro.fleet`.
+Every layout runs the same batch loop (:func:`_solve_batches`) over the
+same backend, so the decoded output is bit-identical to the
+single-process pooled path.  If sharding was requested but cannot
+apply (nothing to split, or the platform cannot start a pool), the
+engine decodes in-process and emits one :class:`RuntimeWarning` naming
+the reason.
 """
 
 from __future__ import annotations
@@ -45,26 +35,30 @@ from __future__ import annotations
 import dataclasses
 import time
 import warnings
-from collections.abc import Sequence
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any
+from typing import TYPE_CHECKING
 
 import numpy as np
 
+from ..config import SystemConfig
+from ..core.backend import (
+    BlockResult,
+    DecodeBackend,
+    backend_for,
+    measurement_dtype,
+)
 from ..core.batch import DEFAULT_BATCH_SIZE, encode_record_windows
 from ..core.decoder import PacketPayloadDecoder
 from ..core.packets import EncodedPacket
 from ..core.system import StreamResult, window_metrics
 from ..errors import ConfigurationError
-from ..solvers import BatchedFista
 from ..telemetry import DEFAULT_SIZE_BUCKETS, MetricsRegistry
 from .scheduler import GroupSchedule, build_schedules, solve_key
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from ..config import SystemConfig
     from ..core.system import EcgMonitorSystem
     from ..ecg.records import Record
-    from ..wavelet import WaveletTransform
 
 
 @dataclass
@@ -92,8 +86,8 @@ class _EncodedStream:
 
 @dataclass
 class _StreamDecode:
-    """Decode-phase output for one stream (plain arrays only, so the
-    sharded path can ship it across a process boundary)."""
+    """Decode-phase output for one stream (plain arrays only, so a
+    group-sharded worker can ship it home across the process boundary)."""
 
     samples_adu: np.ndarray  # (B, n) float64, dc offset applied
     iterations: np.ndarray  # (B,) int64
@@ -176,9 +170,35 @@ def _scatter_columns(
         out.decode_seconds[rows] += seconds[mask]
 
 
+def _solve_batches(
+    backend: DecodeBackend,
+    block: np.ndarray,
+    fractions: np.ndarray,
+    batch_size: int,
+    max_iterations: int,
+    tolerance: float,
+) -> Iterator[tuple[int, int, BlockResult, float]]:
+    """Solve ``block`` in ``batch_size``-wide slices, left to right.
+
+    Yields ``(start, stop, result, seconds)`` per solve.  The one batch
+    loop of every layout: solve widths depend only on the column count
+    and ``batch_size``, which keeps the layouts bit-identical.
+    """
+    total = block.shape[1]
+    for start in range(0, total, batch_size):
+        stop = min(start + batch_size, total)
+        started = time.perf_counter()
+        result = backend.solve(
+            block[:, start:stop],
+            fractions[start:stop],
+            max_iterations=max_iterations,
+            tolerance=tolerance,
+        )
+        yield start, stop, result, time.perf_counter() - started
+
+
 def _decode_group(
-    solver: BatchedFista,
-    transform: "WaveletTransform",
+    backend: DecodeBackend,
     schedule: GroupSchedule,
     payload_decoders: Sequence[PacketPayloadDecoder],
     packet_lists: Sequence[Sequence[EncodedPacket]],
@@ -186,54 +206,39 @@ def _decode_group(
     dc_offsets: Sequence[int],
     max_iterations: int,
     tolerance: float,
-    precision: str,
 ) -> list[_StreamDecode]:
     """Decode one operator group's pooled windows.
 
     Shared by the in-process path and the group-sharded workers;
     inputs are ordered like ``schedule.stream_ids`` (local group
-    order).  The ``"hybrid"`` backend solves through the structured
-    pipeline (float32 fast path + sparse residual gate + float64
-    polish), which owns synthesis; the dense backends synthesize via
-    the batched inverse transform as before.
+    order).
     """
-    dtype = np.float32 if precision == "float32" else np.float64
     pooled, fractions, payload_share = _pool_group_columns(
-        payload_decoders, packet_lists, lam_fractions, schedule.counts, dtype
+        payload_decoders,
+        packet_lists,
+        lam_fractions,
+        schedule.counts,
+        backend.dtype,
     )
     outputs = _allocate_stream_outputs(
-        schedule.counts, payload_share, transform.n
+        schedule.counts, payload_share, backend.config.n
     )
-
-    for start, stop in schedule.batches():
-        batch_started = time.perf_counter()
-        block = pooled[:, start:stop]
-        if precision == "hybrid":
-            result = solver.solve_structured(
-                block,
-                fractions[start:stop],
-                max_iterations=max_iterations,
-                tolerance=tolerance,
-            )
-            signals = result.signals
-        else:
-            lams = solver.lambdas(block, fractions[start:stop])
-            result = solver.solve(
-                block,
-                lams,
-                max_iterations=max_iterations,
-                tolerance=tolerance,
-            )
-            signals = transform.inverse_batch(result.coefficients)
-        batch_share = (time.perf_counter() - batch_started) / (stop - start)
+    for start, stop, result, seconds in _solve_batches(
+        backend,
+        pooled,
+        fractions,
+        schedule.batch_size,
+        max_iterations,
+        tolerance,
+    ):
         _scatter_columns(
             outputs,
             schedule,
             start,
             stop,
-            signals,
+            result.signals,
             result.iterations,
-            np.full(stop - start, batch_share),
+            np.full(stop - start, seconds / (stop - start)),
             dc_offsets,
         )
     return outputs
@@ -242,45 +247,6 @@ def _decode_group(
 # ----------------------------------------------------------------------
 # Sharded execution: operator groups across a multiprocessing pool.
 # ----------------------------------------------------------------------
-
-#: per-worker cache of rebuilt operator resources, keyed by operator
-#: identity — a worker serving many groups (or repeated runs under a
-#: long-lived pool) pays the dense build + Lipschitz estimate once
-_WORKER_RESOURCES: dict[tuple, tuple[BatchedFista, Any]] = {}
-
-
-def _group_resources(
-    config: "SystemConfig", precision: str
-) -> tuple[BatchedFista, "WaveletTransform"]:
-    """Build (or fetch) one operator group's solver + synthesis pair."""
-    from ..sensing import SparseBinaryMatrix
-    from ..wavelet import WaveletTransform
-    from .scheduler import operator_key
-
-    key = operator_key(config, precision)
-    cached = _WORKER_RESOURCES.get(key)
-    if cached is not None:
-        return cached
-    matrix = SparseBinaryMatrix(
-        config.m, config.n, d=config.d, seed=config.seed
-    )
-    transform = WaveletTransform(config.n, config.wavelet, config.levels)
-    if precision == "hybrid":
-        from ..solvers import StructuredOperator
-
-        structure = StructuredOperator(matrix, transform.synthesis_matrix())
-        solver = BatchedFista(
-            structure.dense64,
-            lipschitz=structure.lipschitz,
-            structure=structure,
-        )
-    else:
-        dtype = np.float32 if precision == "float32" else np.float64
-        dense = (matrix.sparse() @ transform.synthesis_matrix()).astype(dtype)
-        solver = BatchedFista(dense)
-    resources = (solver, transform)
-    _WORKER_RESOURCES[key] = resources
-    return resources
 
 
 def _worker_telemetry_delta(
@@ -315,13 +281,10 @@ def _worker_decode_group(group_task: dict) -> dict:
     in either direction except the decoded results and the worker's
     telemetry delta.
     """
-    from ..config import SystemConfig
-
     started = time.perf_counter()
-    precision = group_task["precision"]
     streams = group_task["streams"]
     configs = [SystemConfig(**s["config"]) for s in streams]
-    solver, transform = _group_resources(configs[0], precision)
+    backend = backend_for(configs[0], group_task["precision"])
 
     payload_decoders = [
         PacketPayloadDecoder(config, codebook=s["codebook"])
@@ -337,8 +300,7 @@ def _worker_decode_group(group_task: dict) -> dict:
         group_task["batch_size"],
     )
     outputs = _decode_group(
-        solver,
-        transform,
+        backend,
         schedule,
         payload_decoders,
         packet_lists,
@@ -346,20 +308,11 @@ def _worker_decode_group(group_task: dict) -> dict:
         [s["dc_offset"] for s in streams],
         group_task["max_iterations"],
         group_task["tolerance"],
-        precision,
     )
-    registry = MetricsRegistry()
     return {
-        "streams": [
-            {
-                "samples_adu": out.samples_adu,
-                "iterations": out.iterations,
-                "decode_seconds": out.decode_seconds,
-            }
-            for out in outputs
-        ],
+        "streams": outputs,
         "telemetry": _worker_telemetry_delta(
-            registry, started, schedule.total_windows
+            MetricsRegistry(), started, schedule.total_windows
         ),
     }
 
@@ -370,9 +323,10 @@ def solve_measurement_block(task: dict) -> dict:
     The unit of *column sharding*: the caller has already run stages
     1-2 (entropy decode, redundancy re-insertion, dequantization) and
     ships a ``(m, B)`` float block plus per-column lambda fractions;
-    this function rebuilds the group's operator from the config seed
-    (cached per process via :func:`_group_resources`), slices the block
-    into ``batch_size``-wide solves and returns the synthesized signals.
+    this function fetches the group's backend (built from the config
+    seed once per process by :func:`~repro.core.backend.backend_for`),
+    slices the block into ``batch_size``-wide solves and returns the
+    synthesized signals.
 
     Because the caller hands it batch-aligned slices, the solve widths
     reproduce the in-process :func:`_decode_group` boundaries exactly,
@@ -390,51 +344,31 @@ def solve_measurement_block(task: dict) -> dict:
     registry created per call, so the caller can absorb every result's
     delta exactly once, whatever order a pool completes them in).
     """
-    from ..config import SystemConfig
-
     task_started = time.perf_counter()
     registry = MetricsRegistry()
-    config = SystemConfig(**task["config"])
-    solver, transform = _group_resources(config, task["precision"])
+    backend = backend_for(SystemConfig(**task["config"]), task["precision"])
     block = task["block"]
-    fractions = task["fractions"]
-    batch_size = task["batch_size"]
     total = block.shape[1]
-    signals = np.empty((transform.n, total), dtype=np.float64)
+    signals = np.empty((backend.config.n, total), dtype=np.float64)
     iterations = np.zeros(total, dtype=np.int64)
     seconds = np.zeros(total, dtype=np.float64)
-    for start in range(0, total, batch_size):
-        stop = min(start + batch_size, total)
-        started = time.perf_counter()
-        if task["precision"] == "hybrid":
-            result = solver.solve_structured(
-                block[:, start:stop],
-                fractions[start:stop],
-                max_iterations=task["max_iterations"],
-                tolerance=task["tolerance"],
-            )
-            batch_signals = result.signals
+    for start, stop, result, elapsed in _solve_batches(
+        backend,
+        block,
+        task["fractions"],
+        task["batch_size"],
+        task["max_iterations"],
+        task["tolerance"],
+    ):
+        signals[:, start:stop] = result.signals
+        iterations[start:stop] = result.iterations
+        seconds[start:stop] = elapsed / (stop - start)
+        if backend.structured:
             registry.inc("fleet_hybrid_windows", stop - start)
             registry.inc(
                 "fleet_polish_windows",
                 int(np.count_nonzero(result.polished)),
             )
-        else:
-            lams = solver.lambdas(
-                block[:, start:stop], fractions[start:stop]
-            )
-            result = solver.solve(
-                block[:, start:stop],
-                lams,
-                max_iterations=task["max_iterations"],
-                tolerance=task["tolerance"],
-            )
-            batch_signals = transform.inverse_batch(result.coefficients)
-        elapsed = time.perf_counter() - started
-        share = elapsed / (stop - start)
-        signals[:, start:stop] = np.asarray(batch_signals, dtype=np.float64)
-        iterations[start:stop] = result.iterations
-        seconds[start:stop] = share
         registry.observe("fleet_solve_seconds", elapsed)
         registry.observe(
             "fleet_solve_width", stop - start, buckets=DEFAULT_SIZE_BUCKETS
@@ -538,7 +472,7 @@ class FleetDecoder:
         self.last_num_groups = len(schedules)
         mode, effective = self._plan_sharding(schedules)
 
-        decodes: list[_StreamDecode] | None = None
+        decodes: dict[int, _StreamDecode] | None = None
         if mode == "groups":
             decodes = self._run_sharded(encoded, schedules, effective)
         elif mode == "columns":
@@ -564,8 +498,8 @@ class FleetDecoder:
                 group=f"g{index}",
             )
         return [
-            self._assemble(stream, decode)
-            for stream, decode in zip(encoded, decodes)
+            self._assemble(stream, decodes[index])
+            for index, stream in enumerate(encoded)
         ]
 
     def _plan_sharding(
@@ -655,16 +589,14 @@ class FleetDecoder:
         self,
         encoded: list[_EncodedStream],
         schedules: list[GroupSchedule],
-    ) -> list[_StreamDecode]:
-        """Single-process pooled decode, reusing each lead decoder's
-        already-materialized operator and Lipschitz constant."""
-        decodes: list[_StreamDecode | None] = [None] * len(encoded)
+    ) -> dict[int, _StreamDecode]:
+        """Single-process pooled decode through each group lead
+        decoder's own backend (the other members build none)."""
+        decodes: dict[int, _StreamDecode] = {}
         for schedule in schedules:
             members = [encoded[s] for s in schedule.stream_ids]
-            lead = members[0].task.system.decoder
             outputs = _decode_group(
-                lead.batched_solver(),
-                lead.transform,
+                members[0].task.system.decoder.backend,
                 schedule,
                 [m.task.system.decoder.payload for m in members],
                 [m.packets for m in members],
@@ -672,19 +604,16 @@ class FleetDecoder:
                 [m.dc_offset for m in members],
                 members[0].config.max_iterations,
                 members[0].config.tolerance,
-                members[0].precision,
             )
-            for stream_id, out in zip(schedule.stream_ids, outputs):
-                decodes[stream_id] = out
-        assert all(decode is not None for decode in decodes)
-        return decodes  # type: ignore[return-value]
+            decodes.update(zip(schedule.stream_ids, outputs))
+        return decodes
 
     def _run_sharded(
         self,
         encoded: list[_EncodedStream],
         schedules: list[GroupSchedule],
         workers: int,
-    ) -> list[_StreamDecode] | None:
+    ) -> dict[int, _StreamDecode] | None:
         """Partition operator groups across a multiprocessing pool.
 
         Only reached with >= 2 shardable groups — :meth:`run` plans
@@ -720,26 +649,18 @@ class FleetDecoder:
         if group_outputs is None:
             return None
 
-        decodes: list[_StreamDecode | None] = [None] * len(encoded)
+        decodes: dict[int, _StreamDecode] = {}
         for schedule, group_out in zip(schedules, group_outputs):
             self.telemetry.absorb(group_out["telemetry"])
-            for stream_id, out in zip(
-                schedule.stream_ids, group_out["streams"]
-            ):
-                decodes[stream_id] = _StreamDecode(
-                    samples_adu=out["samples_adu"],
-                    iterations=out["iterations"],
-                    decode_seconds=out["decode_seconds"],
-                )
-        assert all(decode is not None for decode in decodes)
-        return decodes  # type: ignore[return-value]
+            decodes.update(zip(schedule.stream_ids, group_out["streams"]))
+        return decodes
 
     def _run_column_sharded(
         self,
         encoded: list[_EncodedStream],
         schedule: GroupSchedule,
         workers: int,
-    ) -> list[_StreamDecode] | None:
+    ) -> dict[int, _StreamDecode] | None:
         """Split one group's pooled column stream across the pool.
 
         The intra-group layout for the paper's fleet shape: every node
@@ -749,21 +670,18 @@ class FleetDecoder:
         pooled ``(m, B)`` measurement block is then cut into
         batch-aligned contiguous column slices (:func:`split_batches`),
         one per worker, each solved by :func:`solve_measurement_block`
-        with the worker's seed-rebuilt operator.  Per-batch column
+        with the worker's seed-rebuilt backend.  Per-batch column
         composition is identical to the in-process path, so the decoded
         output is bit-identical.  Returns ``None`` when no pool can
         start.
         """
         members = [encoded[s] for s in schedule.stream_ids]
-        dtype = (
-            np.float32 if members[0].precision == "float32" else np.float64
-        )
         pooled, fractions, payload_share = _pool_group_columns(
             [m.task.system.decoder.payload for m in members],
             [m.packets for m in members],
             [m.config.lam for m in members],
             schedule.counts,
-            dtype,
+            measurement_dtype(members[0].precision),
         )
 
         spans = list(schedule.batches())
@@ -790,9 +708,8 @@ class FleetDecoder:
         if slice_outputs is None:
             return None
 
-        n = members[0].config.n
         outputs = _allocate_stream_outputs(
-            schedule.counts, payload_share, n
+            schedule.counts, payload_share, members[0].config.n
         )
         dc_offsets = [m.dc_offset for m in members]
         for (col_start, col_stop), out in zip(slice_bounds, slice_outputs):
@@ -807,12 +724,7 @@ class FleetDecoder:
                 out["seconds"],
                 dc_offsets,
             )
-
-        decodes: list[_StreamDecode | None] = [None] * len(encoded)
-        for stream_id, out in zip(schedule.stream_ids, outputs):
-            decodes[stream_id] = out
-        assert all(decode is not None for decode in decodes)
-        return decodes  # type: ignore[return-value]
+        return dict(zip(schedule.stream_ids, outputs))
 
     # ------------------------------------------------------------------
     def _assemble(

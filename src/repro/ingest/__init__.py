@@ -46,10 +46,18 @@ over it, and the registry feeds the persistent sinks (`serve
 
 Decoded output is bit-identical to the offline path: a flushed block
 runs the same :func:`~repro.fleet.engine.solve_measurement_block` the
-column-sharded fleet engine uses, on the same pooled columns — and
-under loss, the delivered windows are bit-identical to an offline
-decode of the same surviving packet set, with the damage bounded by
-the keyframe interval and accounted per stream.
+column-sharded fleet engine uses, on the same pooled columns, through
+the process's shared :class:`~repro.core.backend.DecodeBackend` (one
+solve at a time, so groups sharing an operator cannot corrupt each
+other's windows) — and under loss, the delivered windows are
+bit-identical to an offline decode of the same surviving packet set,
+with the damage bounded by the keyframe interval and accounted per
+stream.
+
+A dead pool worker costs only the batches that meet the broken pool
+(ERROR frames to their nodes; the restart counts in
+``ingest_pool_restarts``), and links are half-closed so a forked
+worker holding a node's socket cannot swallow the gateway's hang-up.
 """
 
 from .adaptive import (

@@ -74,10 +74,12 @@ import time
 import warnings
 from collections import deque
 from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from ..core.backend import measurement_dtype
 from ..core.decoder import PacketPayloadDecoder
 from ..errors import (
     ConfigurationError,
@@ -135,6 +137,9 @@ class _LoopbackWriter:
 
     def is_closing(self) -> bool:
         return self._closed
+
+    def can_write_eof(self) -> bool:
+        return False  # close() already delivers EOF
 
     async def wait_closed(self) -> None:
         return None
@@ -406,9 +411,7 @@ class _Session:
             handshake.config, codebook=handshake.codebook
         )
         self.dc_offset = 1 << (handshake.config.adc_bits - 1)
-        self.dtype = (
-            np.float32 if handshake.precision == "float32" else np.float64
-        )
+        self.dtype = measurement_dtype(handshake.precision)
         self.quota = asyncio.Semaphore(max_pending)
         self.group: "_GroupPool | None" = None  # set by the gateway
         # telemetry series are labeled by stream identity, not session
@@ -455,7 +458,6 @@ class _GroupPool:
         self.label = label  # short stable telemetry label ("g0", "g1")
         self.config = config
         self.precision = precision
-        self.dtype = np.float32 if precision == "float32" else np.float64
         self.pending: deque[_PendingWindow] = deque()
         self.event = asyncio.Event()
         self.drain_task: asyncio.Task | None = None
@@ -851,9 +853,13 @@ class IngestGateway:
                     current.add_done_callback(self._draining_tasks.discard)
                 await self._finalize(session)
             try:
+                # half-close first: a forked pool worker holding this
+                # socket would keep close() alone from sending the FIN
+                if writer.can_write_eof():
+                    writer.write_eof()
                 writer.close()
                 await writer.wait_closed()
-            except (ConnectionError, RuntimeError):
+            except (OSError, RuntimeError):
                 pass
 
     def _register(self, handshake: Handshake, writer) -> _Session:
@@ -1124,20 +1130,7 @@ class IngestGateway:
         loop = asyncio.get_running_loop()
         started = loop.time()
         if self.workers >= 2 and self._process_pool is None:
-            try:
-                self._process_pool = ProcessPoolExecutor(
-                    max_workers=self.workers
-                )
-                self._inflight = asyncio.Semaphore(self.workers)
-            except (ImportError, OSError, ValueError) as exc:
-                # platform fallback, mirroring FleetDecoder._pool_map:
-                # warn once and solve in-process from here on
-                warnings.warn(
-                    f"ingest gateway falling back to in-process solves: "
-                    f"process pool unavailable on this platform ({exc})",
-                    RuntimeWarning,
-                )
-                self.workers = 1
+            self._start_pool()
         if self.workers >= 2:
             await self._inflight.acquire()
             if self._closing or self._process_pool is None:
@@ -1153,17 +1146,26 @@ class IngestGateway:
             # signal must measure the solve, not pool contention — a
             # queueing delay blamed on the width would shed spuriously
             started = loop.time()
-            future = loop.run_in_executor(
-                self._process_pool, solve_measurement_block, task  # repro-lint: disable=RL009 — designed hand-off: stages 1-2 ran in the gateway, so the task ships dequantized measurement columns (kilobytes), not operators; workers rebuild A from the config seed
-            )
+            pool = self._process_pool
+            try:
+                future = loop.run_in_executor(
+                    pool, solve_measurement_block, task  # repro-lint: disable=RL009 — designed hand-off: stages 1-2 ran in the gateway, so the task ships dequantized measurement columns (kilobytes), not operators; workers rebuild A from the config seed
+                )
+            except BrokenProcessPool as exc:
+                # a worker died since the last solve: this batch fails,
+                # the drain loop lives on, and a fresh pool takes over
+                self._inflight.release()
+                self._fail_batch(batch, exc)
+                self._restart_pool(pool)
+                return
             solve = asyncio.create_task(
-                self._route_async(batch, future, group, reason, started)
+                self._route_async(batch, future, group, reason, started, pool)
             )
             self._solve_tasks.add(solve)
             solve.add_done_callback(self._solve_tasks.discard)
         else:
-            # the cached BatchedFista workspace is not reentrant:
-            # awaiting the solve here serializes this group's batches
+            # the thread path awaits its solve, serializing this group's
+            # batches; the backend serializes solves across groups
             if self._thread_executor is None:
                 self._thread_executor = ThreadPoolExecutor(
                     max_workers=4, thread_name_prefix="ingest-solve"
@@ -1178,15 +1180,50 @@ class IngestGateway:
                 self._route(batch, out)
                 self._observe_flush(group, reason, len(batch), started)
 
+    def _start_pool(self) -> None:
+        """Start the solve pool (first use, or after a worker death)."""
+        try:
+            self._process_pool = ProcessPoolExecutor(max_workers=self.workers)
+        except (ImportError, OSError, ValueError) as exc:
+            # platform fallback, mirroring FleetDecoder._pool_map:
+            # warn once and solve in-process from here on
+            warnings.warn(
+                f"ingest gateway falling back to in-process solves: "
+                f"process pool unavailable on this platform ({exc})",
+                RuntimeWarning,
+            )
+            self.workers = 1
+            return
+        if self._inflight is None:
+            self._inflight = asyncio.Semaphore(self.workers)
+        else:
+            self.telemetry.inc("ingest_pool_restarts")
+
+    def _restart_pool(self, pool: ProcessPoolExecutor) -> None:
+        """Replace a pool broken by a worker death (once per pool)."""
+        if self._process_pool is pool and not self._closing:
+            self._process_pool = None
+            pool.shutdown(wait=False)
+            self._start_pool()
+
     async def _route_async(
-        self, batch, future, group: _GroupPool, reason: str, started: float
+        self,
+        batch,
+        future,
+        group: _GroupPool,
+        reason: str,
+        started: float,
+        pool: ProcessPoolExecutor | None = None,
     ) -> None:
-        """Await a process-pool solve, then scatter the results."""
+        """Await a process-pool solve, then scatter the results; a
+        worker death replaces ``pool`` before the next batch meets it."""
         try:
             out = await future
         except Exception as exc:  # repro-lint: disable=RL005 — waiting sessions must unblock on any solve failure; _fail_batch propagates the error
             self._inflight.release()
             self._fail_batch(batch, exc)
+            if isinstance(exc, BrokenProcessPool) and pool is not None:
+                self._restart_pool(pool)
             return
         self._inflight.release()
         self._route(batch, out)

@@ -91,6 +91,7 @@ from typing import Any
 
 from ..coding import Codebook
 from ..config import SystemConfig
+from ..core.backend import PRECISIONS
 from ..errors import CodebookError, ConfigurationError, ProtocolError
 
 #: Protocol revision spoken by this module.  v2 adds the two-tier
@@ -320,7 +321,7 @@ class Handshake:
                     f"invalid handshake codebook: {exc}"
                 ) from exc
         precision = payload.get("precision", "float64")
-        if precision not in ("float64", "float32", "hybrid"):
+        if precision not in PRECISIONS:
             raise ProtocolError(
                 f"invalid handshake precision {precision!r}"
             )

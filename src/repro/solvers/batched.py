@@ -411,25 +411,20 @@ def batched_fista(
 DEFAULT_POLISH_CORRIDOR = 0.2
 
 
-@dataclass
-class HybridSolveResult:
+@dataclass(kw_only=True)
+class HybridSolveResult(BatchedSolverResult):
     """Outcome of one structured (hybrid-precision) batched solve.
 
-    Attributes
-    ----------
+    The :class:`BatchedSolverResult` fields, with ``coefficients`` in
+    float64 (polished columns hold their float64 re-solve),
+    ``iterations`` counting the fast leg plus any float64 re-solve, and
+    ``residual_norms`` the sparse-gate norm ``||Phi s_b - y_b||_2``;
+    plus:
+
     signals:
         ``(n_samples, B)`` float64 synthesized time-domain block (no dc
         offset) — the structured path owns synthesis, so callers never
         re-run the inverse transform.
-    coefficients:
-        ``(n, B)`` float64 wavelet coefficients (polished columns hold
-        their float64 re-solve).
-    iterations:
-        ``(B,)`` total iterations per column: the fast-path count plus,
-        for polished columns, the float64 re-solve's count.
-    converged, residual_norms, total_iterations, stop_reasons:
-        As in :class:`BatchedSolverResult`; ``residual_norms`` is the
-        sparse-gate norm ``||Phi s_b - y_b||_2``.
     rel_residuals:
         ``(B,)`` the gate statistic ``||Phi s_b - y_b|| / ||y_b||``.
     polished:
@@ -438,33 +433,8 @@ class HybridSolveResult:
     """
 
     signals: np.ndarray
-    coefficients: np.ndarray
-    iterations: np.ndarray
-    converged: np.ndarray
-    residual_norms: np.ndarray
     rel_residuals: np.ndarray
     polished: np.ndarray
-    total_iterations: int
-    stop_reasons: list[str] = field(default_factory=list)
-
-    @property
-    def batch_size(self) -> int:
-        """Number of columns solved."""
-        return int(self.coefficients.shape[1])
-
-    def per_column(self, column: int) -> SolverResult:
-        """Adapt one column to the serial :class:`SolverResult` shape."""
-        if not 0 <= column < self.batch_size:
-            raise IndexError(
-                f"column {column} out of range for batch {self.batch_size}"
-            )
-        return SolverResult(
-            coefficients=self.coefficients[:, column].copy(),
-            iterations=int(self.iterations[column]),
-            converged=bool(self.converged[column]),
-            stop_reason=self.stop_reasons[column],
-            residual_norm=float(self.residual_norms[column]),
-        )
 
 
 def structured_batched_fista(
@@ -631,13 +601,10 @@ class BatchedFista:
     exactly like the serial decoder's precomputation) and then solves
     arbitrary ``(m, B)`` measurement blocks.
 
-    Not reentrant: :meth:`solve` hands its instance-level
-    :class:`BatchWorkspace` to every call, so one instance serves one
-    caller at a time — concurrent solves on a shared instance would
-    scribble over each other's scratch buffers.  The fleet executor
-    respects this by sharding across *processes* (one solver per
-    worker); threads must each own a solver (or call
-    :func:`batched_fista` directly, which allocates private buffers).
+    Not reentrant: every call shares the instance's
+    :class:`BatchWorkspace`, so one instance serves one caller at a
+    time (:class:`~repro.core.backend.DecodeBackend` serializes its
+    callers with a lock).
     """
 
     def __init__(

@@ -180,13 +180,7 @@ class StructuredOperator:
       (the step size is a float64 scalar either way).
     """
 
-    def __init__(
-        self,
-        matrix,
-        synthesis: np.ndarray,
-        dense: np.ndarray | None = None,
-        lipschitz: float | None = None,
-    ) -> None:
+    def __init__(self, matrix, synthesis: np.ndarray) -> None:
         self.phi = SparsePhiApply(matrix)
         self.psi64 = np.ascontiguousarray(synthesis, dtype=np.float64)
         if self.psi64.shape[0] != self.phi.n:
@@ -195,31 +189,13 @@ class StructuredOperator:
                 f"Phi columns {self.phi.n}"
             )
         self.psi32 = self.psi64.astype(np.float32)
-        if dense is None:
-            dense = matrix.sparse() @ self.psi64
-        self.dense64 = np.ascontiguousarray(dense, dtype=np.float64)
+        self.dense64 = np.ascontiguousarray(
+            matrix.sparse() @ self.psi64, dtype=np.float64
+        )
         self.dense64_t = np.ascontiguousarray(self.dense64.T)
         self.dense32 = self.dense64.astype(np.float32)
         self.dense32_t = np.ascontiguousarray(self.dense32.T)
-        self.lipschitz = (
-            lipschitz
-            if lipschitz is not None
-            else lipschitz_constant(self.dense64)
-        )
-        if self.lipschitz <= 0:
-            raise SolverError(
-                f"lipschitz must be positive, got {self.lipschitz}"
-            )
-
-    @property
-    def m(self) -> int:
-        """Measurement dimension (rows of ``Phi``)."""
-        return self.phi.m
-
-    @property
-    def n_coefficients(self) -> int:
-        """Wavelet-domain dimension (columns of ``A``)."""
-        return self.dense64.shape[1]
+        self.lipschitz = lipschitz_constant(self.dense64)
 
     @property
     def n_samples(self) -> int:
@@ -237,7 +213,3 @@ class StructuredOperator:
             if np.dtype(dtype) == np.float32
             else self.dense64_t
         )
-
-    def synthesis(self, dtype: np.dtype | type) -> np.ndarray:
-        """Dense ``Psi`` in the requested precision."""
-        return self.psi32 if np.dtype(dtype) == np.float32 else self.psi64

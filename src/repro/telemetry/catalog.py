@@ -98,6 +98,10 @@ CATALOG: dict[str, MetricSpec] = {
             "ingest_window_latency_seconds", HISTOGRAM,
             "frame arrival to reconstruction, per window",
         ),
+        _spec(
+            "ingest_pool_restarts", COUNTER,
+            "solve process pools rebuilt after a worker died",
+        ),
         # -- lossy-channel accounting (repro.ingest.channel) -----------
         _spec(
             "ingest_windows_lost", COUNTER,

@@ -532,9 +532,11 @@ class MetricsRegistry:
         The snapshot must be a *delta* — the metrics of one unit of
         work, recorded into a registry created for that unit — not a
         cumulative capture, or repeated absorption double-counts.
-        :func:`~repro.fleet.engine.solve_measurement_block` follows
-        this contract: every call records into a fresh registry and
-        returns its snapshot.
+        :func:`~repro.fleet.engine.solve_measurement_block` and the
+        fleet's group-sharded worker follow this contract: every call
+        records into a fresh registry and returns its snapshot.  The
+        process's shared :class:`~repro.core.backend.DecodeBackend`
+        outlives the call, so it keeps no metrics of its own.
         """
         if isinstance(snapshot, dict):
             snapshot = MetricsSnapshot.from_dict(snapshot)

@@ -338,17 +338,18 @@ class TestShardedExecutor:
     def test_non_lead_streams_skip_operator_build(
         self, small_config, database
     ):
-        """Lazy decoder materialization: only the group lead pays the
-        dense build + Lipschitz estimate in a single-process run."""
+        """Lazy decoder materialization: only the group lead builds a
+        backend (dense build + Lipschitz estimate) in a single-process
+        run."""
         record = database.load("100")
         systems = [EcgMonitorSystem(small_config) for _ in range(3)]
-        assert all(s.decoder._system_cache is None for s in systems)
+        assert all(s.decoder._backend is None for s in systems)
         tasks = [
             StreamTask(system, record, max_packets=2) for system in systems
         ]
         decode_fleet(tasks, batch_size=4)
-        assert systems[0].decoder._system_cache is not None
-        assert all(s.decoder._system_cache is None for s in systems[1:])
+        assert systems[0].decoder._backend is not None
+        assert all(s.decoder._backend is None for s in systems[1:])
 
 
 class TestFleetApi:
