@@ -27,7 +27,14 @@ On top of that sit the **raw-speed levers** of the structured solver
   fig-6 corridor and the polish rate reported;
 - ``workspace`` — persistent arenas: after the first solve the arena
   map must reach a fixed point (steady-state serve allocates no new
-  scratch per batch).
+  scratch per batch);
+- ``restart`` — the hybrid path with per-column momentum restart
+  against the same path running the paper's listing (``restart=False``,
+  which every other lever line runs): iteration percentiles, cap hits,
+  windows/s and ``prd_gap`` (mean PRD with restart minus mean PRD
+  without, at unchanged bytes).  The median iteration count must fall
+  by >= 2x and ``prd_gap`` stay <= 0.1 points; both are iteration and
+  PRD facts, so they hold in smoke mode too.
 
 Everything aggregates into one ``BENCH_batched_decode.json``.
 
@@ -76,6 +83,10 @@ MIN_HYBRID_SPEEDUP = 1.05 if SMOKE else 2.0
 LEVER_REPEATS = 1 if SMOKE else 2
 #: hybrid PRD must sit within this many percentage points of float64
 PRD_GAP_BOUND = 0.5
+#: the restart lever must cut the median iteration count by this factor
+MIN_RESTART_ITERATION_CUT = 2.0
+#: and may cost at most this many PRD points on the mean
+RESTART_PRD_GAP_BOUND = 0.1
 
 
 @pytest.fixture(scope="module")
@@ -89,6 +100,8 @@ def batched_bench(bench_json):
             "lever_repeats": LEVER_REPEATS,
             "min_hybrid_speedup": MIN_HYBRID_SPEEDUP,
             "prd_gap_bound": PRD_GAP_BOUND,
+            "min_restart_iteration_cut": MIN_RESTART_ITERATION_CUT,
+            "restart_prd_gap_bound": RESTART_PRD_GAP_BOUND,
         },
         "timings": {},
         "rows": [],
@@ -308,7 +321,35 @@ def test_raw_speed_levers(decode_workload, batched_bench):
         and np.all(rel_residuals <= DEFAULT_POLISH_CORRIDOR)
     )
 
-    # lever 3 — workspace arenas: the map must be at a fixed point now
+    # lever 3 — per-column momentum restart on the hybrid path, against
+    # the listing run of lever 2 (same packets, same stopping rule)
+    restart_s, restart_results = timed(
+        lambda: [
+            solver.solve_structured(piece, config.lam, restart=True, **kwargs)
+            for piece in slices()
+        ]
+    )
+    restart_prd = prd_of([r.signals for r in restart_results])
+
+    def iteration_stats(results):
+        iterations = np.concatenate([r.iterations for r in results])
+        return {
+            "iterations_p50": float(np.percentile(iterations, 50)),
+            "iterations_p95": float(np.percentile(iterations, 95)),
+            "iterations_max": int(iterations.max()),
+            "cap_hits": int(
+                sum(np.count_nonzero(~r.converged) for r in results)
+            ),
+        }
+
+    listing_stats = iteration_stats(hybrid_results)
+    restart_stats = iteration_stats(restart_results)
+    restart_prd_gap = float(restart_prd.mean() - hybrid_prd.mean())
+    iteration_cut = (
+        listing_stats["iterations_p50"] / restart_stats["iterations_p50"]
+    )
+
+    # lever 4 — workspace arenas: the map must be at a fixed point now
     arenas = {
         key: id(buf) for key, buf in solver.workspace._arenas.items()
     }
@@ -340,8 +381,25 @@ def test_raw_speed_levers(decode_workload, batched_bench):
             "speedup": baseline_s / hybrid_s,
             "mean_prd": float(hybrid_prd.mean()),
         },
+        {
+            "lever": "hybrid+restart",
+            "seconds": restart_s,
+            "windows_per_s": TOTAL_WINDOWS / restart_s,
+            "speedup": baseline_s / restart_s,
+            "mean_prd": float(restart_prd.mean()),
+        },
     ]
     print("\n" + render_table(rows, title="raw-speed levers (structured solver)"))
+    print(
+        "\n"
+        + render_table(
+            [
+                {"solve": "hybrid listing", **listing_stats},
+                {"solve": "hybrid restart", **restart_stats},
+            ],
+            title="restart lever: iterations per window",
+        )
+    )
 
     batched_bench["levers"] = {
         "batch": LEVER_BATCH,
@@ -369,6 +427,17 @@ def test_raw_speed_levers(decode_workload, batched_bench):
             "steady_state": bool(steady_state),
             "arenas": len(arenas),
         },
+        "restart": {
+            **restart_stats,
+            "seconds": restart_s,
+            "windows_per_s": TOTAL_WINDOWS / restart_s,
+            "speedup_vs_listing": hybrid_s / restart_s,
+            "mean_prd": float(restart_prd.mean()),
+            "prd_gap": restart_prd_gap,
+            "listing_iterations_p50": listing_stats["iterations_p50"],
+            "listing_cap_hits": listing_stats["cap_hits"],
+            "iteration_cut": iteration_cut,
+        },
     }
 
     # quality gates: structured-f64 is the same iteration (same PRD to
@@ -380,6 +449,14 @@ def test_raw_speed_levers(decode_workload, batched_bench):
         f"(bound {PRD_GAP_BOUND})"
     )
     assert steady_state, "workspace arenas kept growing after warmup"
+    assert iteration_cut >= MIN_RESTART_ITERATION_CUT, (
+        f"restart cut the median iterations only {iteration_cut:.2f}x "
+        f"(need >= {MIN_RESTART_ITERATION_CUT}x)"
+    )
+    assert restart_prd_gap <= RESTART_PRD_GAP_BOUND, (
+        f"restart moved mean PRD by {restart_prd_gap:+.3f} points "
+        f"(bound {RESTART_PRD_GAP_BOUND})"
+    )
     # the sparse gate must be ~free on top of the float64 iteration
     assert baseline_s / sparse_s > 0.8
     combined = baseline_s / hybrid_s

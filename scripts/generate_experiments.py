@@ -129,7 +129,7 @@ def main() -> int:
     }
     print(render_table([detail]), file=out)
     # at *measured* CR = 50 (nominal ~20) the load approaches 17.7 %
-    config_cr50 = SystemConfig().with_target_cr(20.0)
+    config_cr50 = SystemConfig(restart=False).with_target_cr(20.0)
     from repro.core import EcgMonitorSystem
     from repro.platforms.iphone import IPhoneModel
 

@@ -117,6 +117,11 @@ for section, fields in {
         "polish_rate", "corridor_pass",
     ),
     "workspace": ("steady_state", "arenas"),
+    "restart": (
+        "iterations_p50", "iterations_p95", "iterations_max",
+        "cap_hits", "windows_per_s", "prd_gap",
+        "listing_iterations_p50",
+    ),
 }.items():
     if section not in levers:
         sys.exit(f"ERROR: BENCH_batched_decode.json missing lever {section}")
@@ -127,6 +132,20 @@ if not levers["hybrid"]["corridor_pass"]:
     sys.exit("ERROR: hybrid lever left the PRD corridor")
 if not levers["workspace"]["steady_state"]:
     sys.exit("ERROR: workspace arenas did not reach steady state")
+# the momentum restart must keep paying: these are iteration and PRD
+# facts, not timings, so they hold on any machine and in smoke mode
+restart = levers["restart"]
+if not restart["listing_iterations_p50"] >= 2.0 * restart["iterations_p50"]:
+    sys.exit(
+        "ERROR: restart lever cut median iterations only "
+        f"{restart['listing_iterations_p50']} -> {restart['iterations_p50']}"
+        " (need >= 2x)"
+    )
+if not restart["prd_gap"] <= 0.1:
+    sys.exit(
+        f"ERROR: restart lever moved mean PRD by {restart['prd_gap']:+.3f} "
+        "points (bound 0.1)"
+    )
 
 with open("benchmarks/results/BENCH_fleet_decode.json") as fh:
     payload = json.load(fh)
@@ -173,7 +192,10 @@ EOF
     # the traced run finds its layers by name (the gateway's
     # solve_measurement_block, BatchedFista.solve/solve_structured,
     # WaveletTransform.inverse_batch): a refactor that silently unhooks
-    # one fails here, not at the next benchmark run
+    # one fails here, not at the next benchmark run.  It also gates the
+    # live median iteration count, so a change that silently drops the
+    # momentum restart on the serving path (~1050 iterations without
+    # it, ~280 with it) fails end to end
     python3 perfbench/run.py --workload burst_hybrid --seed 1 --seconds 4 --trace 1 \
         | tee benchmarks/results/PERFBENCH_smoke.txt
     python - <<'EOF'
@@ -187,6 +209,12 @@ if payload["failed"] != 0:
     sys.exit(f"ERROR: perfbench smoke failed {payload['failed']} window(s)")
 if not metrics["engine.self_ms_per_batch"] > 0:
     sys.exit("ERROR: traced solve_measurement_block hook never fired")
+if not metrics["batched.iterations_p50"] < 600:
+    sys.exit(
+        "ERROR: live median FISTA iterations "
+        f"{metrics['batched.iterations_p50']:.0f} >= 600: is the "
+        "momentum restart still on the serving path?"
+    )
 if not metrics["trace.unaccounted_share"] < 0.05:
     sys.exit(
         "ERROR: traced layers leave "

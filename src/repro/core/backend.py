@@ -119,12 +119,15 @@ class DecodeBackend:
         *,
         max_iterations: int,
         tolerance: float,
+        restart: bool,
     ) -> BlockResult:
         """Reconstruct one ``(m, B)`` block of dequantized measurements.
 
         ``fractions``: per-column lambda fractions (or one scalar).
         ``x0``: ``(n, B)`` warm start, dense backends only.  The stopping
-        rule is per call: a shared backend serves every stopping rule.
+        rule (``max_iterations``, ``tolerance`` and the per-column
+        momentum ``restart``) is per call: a shared backend serves every
+        stopping rule.
         """
         if x0 is not None and self.structured:
             raise SolverError("the hybrid backend does not take warm starts")
@@ -135,6 +138,7 @@ class DecodeBackend:
                     fractions,
                     max_iterations=max_iterations,
                     tolerance=tolerance,
+                    restart=restart,
                 )
                 return BlockResult(
                     hybrid.signals, hybrid.iterations, hybrid.polished, hybrid
@@ -146,6 +150,7 @@ class DecodeBackend:
                 max_iterations=max_iterations,
                 tolerance=tolerance,
                 x0=x0,
+                restart=restart,
             )
             signals = self.transform.inverse_batch(result.coefficients)
         return BlockResult(

@@ -308,6 +308,7 @@ class CSDecoder:
             tolerance=self.config.tolerance,
             lipschitz=self.lipschitz,
             x0=x0,
+            restart=self.config.restart,
         )
         if self.warm_start:
             self._previous_alpha = result.coefficients
@@ -335,7 +336,10 @@ class CSDecoder:
         FISTA with per-column regularization weights and convergence
         masking, then one batched synthesis).  Per-packet results match
         :meth:`decode` to solver floating-point noise (identical
-        iteration counts, reconstructions equal to ~1e-9).
+        iteration counts, reconstructions equal to ~1e-9): both follow
+        the config's stopping rule, and with ``config.restart`` each
+        column restarts its momentum on its own, exactly where the
+        serial solve of that packet restarts.
 
         With ``warm_start`` enabled, every column starts from the last
         coefficients solved before this batch (the serial path warm
@@ -386,6 +390,7 @@ class CSDecoder:
             x0,
             max_iterations=self.config.max_iterations,
             tolerance=self.config.tolerance,
+            restart=self.config.restart,
         )
 
     def decode_bytes(self, wire: bytes) -> DecodedPacket:

@@ -51,12 +51,16 @@ def run_cr_sweep(
     """Run the full system across CRs and records.
 
     Returns one :class:`SweepOutcome` per nominal CR with per-packet
-    points and the measured (entropy-coded) CR.
+    points and the measured (entropy-coded) CR.  The default base
+    config runs the paper's exact FISTA listing (``restart=False``):
+    the sweep's iteration counts model the iPhone decoder (fig 7).
     """
     database = database if database is not None else sweep_database()
     if records is None:
         records = database.subset(6)
-    base = base_config if base_config is not None else SystemConfig()
+    base = (
+        base_config if base_config is not None else SystemConfig(restart=False)
+    )
 
     outcomes: list[SweepOutcome] = []
     for nominal in nominal_crs:

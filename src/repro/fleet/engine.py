@@ -60,6 +60,12 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..core.system import EcgMonitorSystem
     from ..ecg.records import Record
 
+#: ``fleet_solve_iterations`` bounds: the paper's real-time caps are 800
+#: (scalar build) and 2000 (NEON build)
+ITERATION_BUCKETS: tuple[float, ...] = (
+    50, 100, 200, 300, 400, 600, 800, 1000, 1500, 2000,
+)
+
 
 @dataclass
 class StreamTask:
@@ -177,6 +183,7 @@ def _solve_batches(
     batch_size: int,
     max_iterations: int,
     tolerance: float,
+    restart: bool,
 ) -> Iterator[tuple[int, int, BlockResult, float]]:
     """Solve ``block`` in ``batch_size``-wide slices, left to right.
 
@@ -193,6 +200,7 @@ def _solve_batches(
             fractions[start:stop],
             max_iterations=max_iterations,
             tolerance=tolerance,
+            restart=restart,
         )
         yield start, stop, result, time.perf_counter() - started
 
@@ -206,6 +214,7 @@ def _decode_group(
     dc_offsets: Sequence[int],
     max_iterations: int,
     tolerance: float,
+    restart: bool,
 ) -> list[_StreamDecode]:
     """Decode one operator group's pooled windows.
 
@@ -230,6 +239,7 @@ def _decode_group(
         schedule.batch_size,
         max_iterations,
         tolerance,
+        restart,
     ):
         _scatter_columns(
             outputs,
@@ -308,6 +318,7 @@ def _worker_decode_group(group_task: dict) -> dict:
         [s["dc_offset"] for s in streams],
         group_task["max_iterations"],
         group_task["tolerance"],
+        configs[0].restart,
     )
     return {
         "streams": outputs,
@@ -337,16 +348,22 @@ def solve_measurement_block(task: dict) -> dict:
 
     Task keys: ``config`` (scalar :class:`~repro.config.SystemConfig`
     fields), ``precision``, ``block``, ``fractions``, ``batch_size``,
-    ``max_iterations``, ``tolerance``.  Returns ``signals`` (``(n, B)``
+    ``max_iterations``, ``tolerance``; the momentum restart is the
+    config's own ``restart`` field.  Returns ``signals`` (``(n, B)``
     float64, no dc offset), ``iterations`` (``(B,)``), ``seconds``
     (``(B,)`` — each column's share of its batch's wall clock) and
     ``telemetry`` — this call's metrics delta (recorded into a
     registry created per call, so the caller can absorb every result's
-    delta exactly once, whatever order a pool completes them in).
+    delta exactly once, whatever order a pool completes them in).  The
+    delta carries the solver-quality series: one
+    ``fleet_solve_iterations`` sample per column and
+    ``fleet_iteration_cap_hits`` for columns stopped at
+    ``max_iterations``.
     """
     task_started = time.perf_counter()
     registry = MetricsRegistry()
-    backend = backend_for(SystemConfig(**task["config"]), task["precision"])
+    config = SystemConfig(**task["config"])
+    backend = backend_for(config, task["precision"])
     block = task["block"]
     total = block.shape[1]
     signals = np.empty((backend.config.n, total), dtype=np.float64)
@@ -359,6 +376,7 @@ def solve_measurement_block(task: dict) -> dict:
         task["batch_size"],
         task["max_iterations"],
         task["tolerance"],
+        config.restart,
     ):
         signals[:, start:stop] = result.signals
         iterations[start:stop] = result.iterations
@@ -369,6 +387,14 @@ def solve_measurement_block(task: dict) -> dict:
                 "fleet_polish_windows",
                 int(np.count_nonzero(result.polished)),
             )
+        for count in result.iterations:
+            registry.observe(
+                "fleet_solve_iterations", count, buckets=ITERATION_BUCKETS
+            )
+        registry.inc(
+            "fleet_iteration_cap_hits",
+            int(np.count_nonzero(~result.solver_result.converged)),
+        )
         registry.observe("fleet_solve_seconds", elapsed)
         registry.observe(
             "fleet_solve_width", stop - start, buckets=DEFAULT_SIZE_BUCKETS
@@ -604,6 +630,7 @@ class FleetDecoder:
                 [m.dc_offset for m in members],
                 members[0].config.max_iterations,
                 members[0].config.tolerance,
+                members[0].config.restart,
             )
             decodes.update(zip(schedule.stream_ids, outputs))
         return decodes

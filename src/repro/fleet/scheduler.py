@@ -11,8 +11,8 @@ The scheduler answers two questions for the fleet engine:
    exactly that identity — one
    :class:`~repro.core.backend.DecodeBackend` per key;
    :func:`solve_key` additionally folds in the solver's stopping
-   parameters, because a shared batched loop runs every column with one
-   ``max_iterations``/``tolerance`` pair.
+   rule, because a shared batched loop runs every column with one
+   ``max_iterations``/``tolerance``/``restart`` triple.
 
 2. **How are a group's windows packed into batches?**
    :class:`GroupSchedule` concatenates the group's streams in
@@ -38,10 +38,13 @@ from ..errors import ConfigurationError
 
 
 def solve_key(config: SystemConfig, precision: str = "float64") -> tuple:
-    """Operator identity plus the shared solver stopping parameters."""
+    """Operator identity plus the stopping rule every column of a batch
+    shares: ``max_iterations``, ``tolerance`` and ``restart``.  Two nodes
+    that differ only in ``restart`` never share a batch."""
     return operator_key(config, precision) + (
         config.max_iterations,
         config.tolerance,
+        config.restart,
     )
 
 

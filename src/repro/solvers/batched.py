@@ -18,8 +18,18 @@ path would — column ``b`` of the batched solve follows the same iterate
 sequence as ``fista(a, Y[:, b], lam_b)``, down to floating-point noise
 in the BLAS kernels.
 
-The momentum restart parameter ``t_k`` depends only on the iteration
-number, never on the data, so one global schedule serves all columns.
+Both solvers read the extrapolation coefficient ``(t_k - 1)/t_{k+1}``
+from one tabulated schedule
+(:func:`~repro.solvers.fista.momentum_schedule`).  Under the paper's
+listing (``restart=False``) it depends only on the iteration number, so
+every column uses the same scalar.  With ``restart=True`` each column
+applies the gradient restart of :func:`~repro.solvers.fista.fista` on
+its own: a ``(B,)`` momentum age, compacted with the other working
+arrays, indexes the schedule, and when
+``<y_k - alpha_k, alpha_k - alpha_{k-1}> > 0`` for column ``b`` its age
+returns to 0 (``t`` resets to 1, that step's coefficient is 0) while
+the other columns keep their momentum.  Column ``b`` still follows
+``fista(a, Y[:, b], lam_b, restart=True)``.
 
 Warm starts are supported through ``x0`` of shape ``(n, B)`` — e.g. the
 previous batch's solutions when streaming chunk by chunk.
@@ -28,7 +38,6 @@ previous batch's solutions when streaming chunk by chunk.
 from __future__ import annotations
 
 import contextlib
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -36,6 +45,7 @@ import numpy as np
 from ..errors import SolverError
 from ..wavelet.operator import LinearOperator
 from .base import SolverResult
+from .fista import momentum_schedule, restart_statistic
 from .lipschitz import lipschitz_constant
 
 
@@ -218,6 +228,7 @@ def batched_fista(
     x0: np.ndarray | None = None,
     operator_t: np.ndarray | None = None,
     workspace: BatchWorkspace | None = None,
+    restart: bool = False,
 ) -> BatchedSolverResult:
     """Solve ``min ||A alpha_b - y_b||^2 + lam_b ||alpha_b||_1`` for all b.
 
@@ -243,6 +254,9 @@ def batched_fista(
         Optional :class:`BatchWorkspace` providing the per-iteration
         scratch buffers; a reusable :class:`BatchedFista` passes its own
         so a stream of same-width solves allocates them once.
+    restart:
+        Per-column gradient momentum restart (module docstring); off
+        by default, which is the paper's listing.
     """
     dense = _as_dense(a)
     ys = check_measurement_matrix(dense, ys)
@@ -315,7 +329,13 @@ def batched_fista(
 
     iterations = np.zeros(batch, dtype=np.int64)
     converged = np.zeros(batch, dtype=bool)
-    t_k = 1.0
+    schedule = momentum_schedule(max_iterations, dtype)
+    if restart:
+        # per-column momentum age, its coefficient and restart test
+        age = np.zeros(batch, dtype=np.intp)
+        coef = np.empty(batch, dtype=dtype)
+        ascent = np.empty(batch, dtype=dtype)
+        uphill = np.empty(batch, dtype=bool)
     total_iterations = 0
     # doubling is exact, so g*(2*step) rounds identically to (2*g)*step
     two_step = dtype(2.0) * step
@@ -336,11 +356,19 @@ def batched_fista(
         np.maximum(buf_u, 0, out=buf_u)
         buf_alpha *= buf_u
 
-        t_next = (1.0 + math.sqrt(1.0 + 4.0 * t_k * t_k)) / 2.0
         np.subtract(buf_alpha, work_prev, out=buf_diff)
-        np.multiply(buf_diff, dtype((t_k - 1.0) / t_next), out=work_mom)
+        if restart:
+            # buf_u is free after the threshold: it holds y_k - alpha_k
+            np.subtract(work_mom, buf_alpha, out=buf_u)
+            restart_statistic(buf_u, buf_diff, out=ascent)
+            np.greater(ascent, 0, out=uphill)
+            np.copyto(age, 0, where=uphill)
+            np.take(schedule, age, out=coef)
+            age += 1
+            np.multiply(buf_diff, coef, out=work_mom)
+        else:
+            np.multiply(buf_diff, schedule[iteration - 1], out=work_mom)
         work_mom += buf_alpha
-        t_k = t_next
 
         # relative iterate change per column (serial stopping rule)
         change = np.sqrt(
@@ -371,6 +399,11 @@ def batched_fista(
                 work_mom = np.ascontiguousarray(work_mom[:, live])
                 work_thr = work_thr[live].copy()
                 prev_norms = prev_norms[live].copy()
+                if restart:  # coef/ascent/uphill are scratch: views do
+                    age = age[live]
+                    coef = coef[: age.size]
+                    ascent = ascent[: age.size]
+                    uphill = uphill[: age.size]
                 order = order[live]
                 live = np.ones(order.size, dtype=bool)
                 width = order.size
@@ -446,6 +479,7 @@ def structured_batched_fista(
     iterate_dtype: np.dtype | type = np.float32,
     polish_corridor: float = DEFAULT_POLISH_CORRIDOR,
     workspace: BatchWorkspace | None = None,
+    restart: bool = False,
 ) -> HybridSolveResult:
     """Solve a measurement block against a factored ``A = Phi Psi``.
 
@@ -469,6 +503,9 @@ def structured_batched_fista(
        is non-finite) are re-solved in float64, warm-started from
        their float32 coefficients (non-finite warm starts reset to
        zero), then re-synthesized and re-gated.
+
+    ``restart`` applies the per-column momentum restart to both the
+    fast leg and the float64 polish.
 
     ``structure`` is a
     :class:`~repro.solvers.sparse_apply.StructuredOperator`.  All
@@ -520,6 +557,7 @@ def structured_batched_fista(
             lipschitz=structure.lipschitz,
             operator_t=structure.operator_t(iterate_dtype),
             workspace=workspace,
+            restart=restart,
         )
 
         coefficients = np.asarray(fast.coefficients, dtype=np.float64)
@@ -565,6 +603,7 @@ def structured_batched_fista(
             x0=x0,
             operator_t=structure.dense64_t,
             workspace=workspace,
+            restart=restart,
         )
         coefficients[:, bad] = polish.coefficients
         fixed = structure.psi64 @ polish.coefficients
@@ -660,6 +699,7 @@ class BatchedFista:
         tolerance: float = 1e-4,
         iterate_dtype: np.dtype | type = np.float32,
         polish_corridor: float = DEFAULT_POLISH_CORRIDOR,
+        restart: bool = False,
     ) -> HybridSolveResult:
         """Run the hybrid-precision structured pipeline on one block.
 
@@ -682,6 +722,7 @@ class BatchedFista:
             iterate_dtype=iterate_dtype,
             polish_corridor=polish_corridor,
             workspace=self._workspace,
+            restart=restart,
         )
 
     def solve(
@@ -691,6 +732,7 @@ class BatchedFista:
         max_iterations: int = 2000,
         tolerance: float = 1e-4,
         x0: np.ndarray | None = None,
+        restart: bool = False,
     ) -> BatchedSolverResult:
         """Run the masked batched iteration on one measurement block."""
         return batched_fista(
@@ -703,4 +745,5 @@ class BatchedFista:
             x0=x0,
             operator_t=self._dense_t,
             workspace=self._workspace,
+            restart=restart,
         )

@@ -212,6 +212,16 @@ CATALOG: dict[str, MetricSpec] = {
             "columns per batched solve inside a shard",
         ),
         _spec(
+            "fleet_solve_iterations", HISTOGRAM,
+            "FISTA iterations per solved column (a polished hybrid "
+            "column counts both legs)",
+        ),
+        _spec(
+            "fleet_iteration_cap_hits", COUNTER,
+            "columns whose solve stopped at max_iterations instead of "
+            "meeting the tolerance",
+        ),
+        _spec(
             "fleet_hybrid_windows", COUNTER,
             "windows solved on the hybrid float32 fast path",
         ),
